@@ -1,8 +1,7 @@
 package repro.dataflow
 
-import java.util.concurrent.{ArrayBlockingQueue, ConcurrentHashMap, ConcurrentLinkedQueue}
+import java.util.concurrent.{ArrayBlockingQueue, ConcurrentLinkedQueue}
 import java.util.concurrent.atomic.AtomicLong
-import java.util.concurrent.locks.LockSupport
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import repro.ft.ReplayRecorder
@@ -34,10 +33,13 @@ final class OutPort(val edge: EdgeSpec, val channels: Vector[Channel]) {
     * reach all downstream workers for alignment).
     */
   def sendAll(m: Msg): Unit = channels.foreach(_.q.put(m))
-}
 
-/** A snapshot reported by one worker during an aligned checkpoint. */
-final case class CheckpointReport(checkpointId: Long, worker: WorkerId, state: Any, version: Int)
+  /** Forward a marker along this edge only if its target participates
+    * (for Fries: the MCS component; for the epoch scheduler: everyone).
+    */
+  def forward(ctx: MarkerCtx): Unit =
+    if (ctx.participantOps(edge.to)) sendAll(Msg.Marker(ctx))
+}
 
 /** A built-in sink logic that stashes every input tuple for inspection. */
 final class CollectLogic extends OpLogic {
@@ -72,8 +74,6 @@ final class Engine(
 
   val log = new ScheduleLog(logEnabled)
   private val reconfigIdGen = new AtomicLong(0)
-  private val appliedAt = new ConcurrentHashMap[(Long, WorkerId), Long]
-  @volatile var checkpointReporter: CheckpointReport => Unit = _ => ()
 
   // ---------------------------------------------------------------- build
   val channels: Vector[Channel] = df.edges.flatMap { e =>
@@ -160,6 +160,7 @@ final class Engine(
     sourceRuntimes.keys.foreach(sendControl(_, ControlMsg.StopSource))
 
   // -------------------------------------------------------------- control
+  /** A fresh id for a reconfiguration or checkpoint marker. */
   def newReconfigId(): Long = reconfigIdGen.getAndIncrement()
 
   def sendControl(w: WorkerId, c: ControlMsg): Unit =
@@ -168,14 +169,9 @@ final class Engine(
       case None => sourceRuntimes(w).control.add(c)
     }
 
-  private[dataflow] def recordApplied(reconfigId: Long, w: WorkerId): Unit =
-    appliedAt.put((reconfigId, w), System.nanoTime())
-
-  /** Nanotime at which each worker applied the update of reconfiguration
-    * `reconfigId` (empty until applied).
-    */
-  def applyTimes(reconfigId: Long): Map[WorkerId, Long] =
-    appliedAt.asScala.collect { case ((id, w), t) if id == reconfigId => w -> t }.toMap
+  /** Start marker `ctx` at each of `heads` (workers or sources). */
+  def startMarker(heads: Iterable[WorkerId], ctx: MarkerCtx): Unit =
+    heads.foreach(sendControl(_, ControlMsg.StartMarker(ctx)))
 
   private[dataflow] def replayRecorder: Option[ReplayRecorder] = recorder
 

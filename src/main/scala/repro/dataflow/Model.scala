@@ -61,7 +61,7 @@ trait FunctionUpdate {
   /** The new computation function f', initialized with the transformed state. */
   def newLogic(transformedState: Any): OpLogic
 
-  final def apply(old: OpLogic): OpLogic = newLogic(transformState(old.state))
+  def apply(old: OpLogic): OpLogic = newLogic(transformState(old.state))
 }
 
 object FunctionUpdate {
@@ -71,8 +71,9 @@ object FunctionUpdate {
     * which request "dummy" reconfigurations.
     */
   val identity: FunctionUpdate = new FunctionUpdate {
+    override def apply(old: OpLogic): OpLogic = old
     override def newLogic(s: Any): OpLogic =
-      throw new IllegalStateException("identity update handled by the worker")
+      throw new IllegalStateException("identity update builds no new logic")
     override def toString = "FunctionUpdate.identity"
   }
 

@@ -13,7 +13,7 @@ object SourceRuntime {
 /** One worker of a source operator: emits the input stream at the requested
   * rate (or as fast as backpressure allows), stamps each source tuple with
   * a globally unique transaction id, and reacts to scheduler control
-  * messages (epoch-marker injection, version bumps, stop requests).
+  * messages (marker starts, version bumps, stop requests).
   */
 final class SourceRuntime(
     val id: WorkerId,
@@ -68,7 +68,7 @@ final class SourceRuntime(
     var c = control.poll()
     while (c != null) {
       c match {
-        case ControlMsg.InjectMarker(ctx) => outPorts.foreach(_.sendAll(Msg.Marker(ctx)))
+        case ControlMsg.StartMarker(ctx) => outPorts.foreach(_.forward(ctx))
         case ControlMsg.BumpVersion(v) => ver = v
         case ControlMsg.StopSource => stopRequested = true
         case other =>

@@ -78,33 +78,16 @@ final class WorkerRuntime(
   }
 
   private def handleControl(c: ControlMsg): Unit = c match {
-    case ControlMsg.ApplyUpdate(rid, update, latch) =>
-      applyUpdate(rid, update, latch)
+    case ControlMsg.StartMarker(ctx) => markerStep(ctx)
 
-    case ControlMsg.StartComponentMarker(ctx) =>
-      // Fries, Algorithm 2 lines 4-6: this worker is a head of an MCS
-      // component. Apply own update (if reconfigured) and start the marker.
-      ctx.updates.get(id.op).foreach(u => applyUpdate(ctx.id, u, ctx.latch))
-      forwardMarker(ctx)
-
-    case ControlMsg.InstallVersion(rid, v, update, latch) =>
+    case ControlMsg.InstallVersion(v, update, done) =>
       if (!multiVersion) { multiVersion = true; versions.put(version, logic) }
       versions.put(v, update(logic))
       engine.log.update(id, v)
-      engine.recordApplied(rid, id)
-      latch.countDown()
+      done.ack(id, v)
 
-    case ControlMsg.InjectMarker(_) | ControlMsg.BumpVersion(_) | ControlMsg.StopSource =>
+    case ControlMsg.BumpVersion(_) | ControlMsg.StopSource =>
       throw new IllegalArgumentException(s"source-only control message $c sent to worker $id")
-  }
-
-  private def applyUpdate(rid: Long, update: FunctionUpdate, latch: java.util.concurrent.CountDownLatch): Unit = {
-    if (update ne FunctionUpdate.identity) logic = update(logic)
-    version += 1
-    engine.log.update(id, version)
-    engine.replayRecorder.foreach(_.recordApply(id, update))
-    engine.recordApplied(rid, id)
-    latch.countDown()
   }
 
   private def handle(chIdx: Int, m: Msg): Unit = m match {
@@ -157,14 +140,7 @@ final class WorkerRuntime(
     val outstanding = st.expected.diff(st.arrived).diff(eosChannels)
     if (outstanding.isEmpty && aligning.contains(st.ctx.id)) {
       aligning -= st.ctx.id
-      st.ctx.kind match {
-        case MarkerKind.Reconfig =>
-          st.ctx.updates.get(id.op).foreach(u => applyUpdate(st.ctx.id, u, st.ctx.latch))
-        case MarkerKind.Checkpoint =>
-          engine.checkpointReporter(CheckpointReport(st.ctx.checkpointId, id, logic.state, version))
-          st.ctx.latch.countDown()
-      }
-      forwardMarker(st.ctx)
+      markerStep(st.ctx)
       // Unblock; a channel stays blocked if another in-flight alignment
       // already received its marker on it.
       blocked.clear()
@@ -172,13 +148,25 @@ final class WorkerRuntime(
     }
   }
 
-  /** Send the marker downstream, but only into the participating operators
-    * (for Fries: the MCS component; for the epoch scheduler: everyone).
+  /** The marker step, taken by a worker where the marker starts and by any
+    * worker where it aligns: apply this operator's update or take the
+    * checkpoint snapshot, then forward the marker into the participants.
     */
-  private def forwardMarker(ctx: MarkerCtx): Unit =
-    outPorts.foreach { p =>
-      if (ctx.participantOps(p.edge.to)) p.sendAll(Msg.Marker(ctx))
+  private def markerStep(ctx: MarkerCtx): Unit = {
+    ctx.kind match {
+      case MarkerKind.Reconfig =>
+        ctx.updates.get(id.op).foreach { update =>
+          logic = update(logic)
+          version += 1
+          engine.log.update(id, version)
+          engine.replayRecorder.foreach(_.recordApply(id, update))
+          ctx.done.ack(id, version)
+        }
+      case MarkerKind.Checkpoint =>
+        ctx.done.ack(id, version, logic.state)
     }
+    outPorts.foreach(_.forward(ctx))
+  }
 
   private def finish(): Unit = {
     if (!finished) {

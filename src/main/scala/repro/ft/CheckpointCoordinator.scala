@@ -1,7 +1,6 @@
 package repro.ft
 
-import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
 import repro.dataflow._
 
@@ -17,24 +16,22 @@ import repro.dataflow._
   * are then guaranteed to trail the FCMs, so completed checkpoints only
   * ever contain fully old or fully new configurations.
   *
-  * Worker states and config versions are snapshot; source offsets are not
-  * (a deliberate simplification — replaying a source from an offset is
-  * orthogonal to the consistency property under study).
+  * A checkpoint is one marker started at every source, with every vertex
+  * participating. Each worker snapshots its state and config version when
+  * the marker aligns and acks it on the checkpoint's own [[Completion]];
+  * the last ack commits the snapshot here unless the checkpoint was
+  * canceled first. Checkpoint ids are marker ids from the engine, so
+  * several coordinators on one engine never share an alignment.
+  *
+  * Source offsets are not snapshot (a deliberate simplification —
+  * replaying a source from an offset is orthogonal to the consistency
+  * property under study).
   */
 final class CheckpointCoordinator(engine: Engine) {
 
-  private final class Pending(val id: Long, val expected: Int) {
-    val reports = new ConcurrentHashMap[WorkerId, CheckpointReport]
-    @volatile var canceled = false
-    val done = new CountDownLatch(1)
-  }
-
-  private val idGen = new AtomicLong(0)
-  private val pending = new ConcurrentHashMap[Long, Pending]
-  private val completedMap = new ConcurrentHashMap[Long, Map[WorkerId, CheckpointReport]]
+  private val pending = new ConcurrentHashMap[Long, Completion]
+  private val completedMap = new ConcurrentHashMap[Long, Map[WorkerId, Ack]]
   @volatile private var blockedForReconfig = false
-
-  engine.checkpointReporter = onReport
 
   private val totalWorkers: Int = engine.df.ops.map(_.parallelism).sum
 
@@ -44,43 +41,26 @@ final class CheckpointCoordinator(engine: Engine) {
   def trigger(): Option[Long] = synchronized {
     if (blockedForReconfig) None
     else {
-      val id = idGen.getAndIncrement()
-      pending.put(id, new Pending(id, totalWorkers))
-      val allOps = (engine.df.sources.map(_.name) ++ engine.df.ops.map(_.name)).toSet
-      val ctx = MarkerCtx(
-        id = -1000 - id, // marker ids share the reconfig-id space; keep disjoint
-        kind = MarkerKind.Checkpoint,
-        participantOps = allOps,
-        updates = Map.empty,
-        latch = new CountDownLatch(totalWorkers),
-        checkpointId = id)
-      engine.sourceRuntimes.keys.foreach(engine.sendControl(_, ControlMsg.InjectMarker(ctx)))
+      val id = engine.newReconfigId()
+      val done = new Completion(totalWorkers, commit(id, _))
+      pending.put(id, done)
+      engine.startMarker(engine.sourceRuntimes.keys,
+        MarkerCtx(id, MarkerKind.Checkpoint, engine.df.dag.vertexSet, Map.empty, done))
       Some(id)
     }
   }
 
-  private def onReport(r: CheckpointReport): Unit = {
-    val p = pending.get(r.checkpointId)
-    if (p != null && !p.canceled) {
-      p.reports.put(r.worker, r)
-      if (p.reports.size == p.expected) {
-        // Re-check cancellation at completion: a cancel racing with the last
-        // report must win, otherwise an inconsistent snapshot could commit.
-        synchronized {
-          if (!p.canceled && pending.remove(r.checkpointId) != null) {
-            completedMap.put(r.checkpointId, p.reports.asScala.toMap)
-            p.done.countDown()
-          }
-        }
-      }
-    }
+  /** Runs on the worker that took the last snapshot. A cancel racing with
+    * it must win, otherwise an inconsistent snapshot could commit.
+    */
+  private def commit(id: Long, done: Completion): Unit = synchronized {
+    if (pending.remove(id) != null) completedMap.put(id, done.acks)
   }
 
   /** Reconfiguration arrived: cancel in-flight checkpoints and block new
     * ones (Section 7.3, "Checkpoint-based fault tolerance").
     */
   def onReconfigRequested(): Unit = synchronized {
-    pending.values.asScala.foreach(_.canceled = true)
     pending.clear()
     blockedForReconfig = true
   }
@@ -95,11 +75,11 @@ final class CheckpointCoordinator(engine: Engine) {
   def awaitCompleted(id: Long, timeoutMs: Long): Boolean = {
     val p = pending.get(id)
     if (p == null) completedMap.containsKey(id)
-    else p.done.await(timeoutMs, TimeUnit.MILLISECONDS) && completedMap.containsKey(id)
+    else p.await(timeoutMs) && completedMap.containsKey(id)
   }
 
   /** Committed (completed, never-canceled) checkpoints. */
-  def completed: Map[Long, Map[WorkerId, CheckpointReport]] = completedMap.asScala.toMap
+  def completed: Map[Long, Map[WorkerId, Ack]] = completedMap.asScala.toMap
 
   /** A completed checkpoint is consistent w.r.t. a reconfiguration iff all
     * workers of the reconfigured operators were captured at the same config

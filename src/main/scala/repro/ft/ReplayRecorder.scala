@@ -56,7 +56,7 @@ object Replay {
     events.foreach {
       case ReplayEvent.Process(t, _) => out ++= logic.process(t)
       case ReplayEvent.Apply(update) =>
-        if (update ne FunctionUpdate.identity) logic = update(logic)
+        logic = update(logic)
         version += 1
     }
     Result(out.result(), version, logic.state)

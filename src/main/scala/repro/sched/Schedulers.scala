@@ -1,6 +1,5 @@
 package repro.sched
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
 import repro.core.{FriesPlanner, ReconfigPlan, Regions}
 import repro.dataflow._
 import repro.ft.CheckpointCoordinator
@@ -37,12 +36,20 @@ trait ReconfigScheduler {
     */
   def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long = 120_000): ReconfigOutcome
 
-  protected def await(latch: CountDownLatch, timeoutMs: Long, what: String): Unit =
-    require(latch.await(timeoutMs, TimeUnit.MILLISECONDS),
-      s"$what did not complete within ${timeoutMs}ms")
-
-  protected def targetWorkerCount(engine: Engine, r: Reconfiguration): Int =
-    r.ops.toSeq.map(engine.df.parallelismOf).sum
+  /** The request path every scheduler shares: a fresh id and a completion
+    * that expects one ack per target worker, then `send` hands the request
+    * to the engine, then wait until every target worker applied.
+    */
+  protected def request(engine: Engine, r: Reconfiguration, timeoutMs: Long, what: String,
+      plans: Vector[ReconfigPlan[String]] = Vector.empty)(
+      send: (Long, Completion) => Unit): ReconfigOutcome = {
+    val rid = engine.newReconfigId()
+    val done = new Completion(r.ops.toSeq.map(engine.df.parallelismOf).sum)
+    val t0 = System.nanoTime()
+    send(rid, done)
+    require(done.await(timeoutMs), s"$what of ${r.ops} did not complete within ${timeoutMs}ms")
+    ReconfigOutcome(rid, t0, done.acks.map { case (w, a) => w -> a.atNanos }, plans)
+  }
 }
 
 /** The epoch-based scheduler ("Epoch scheduler" / EBR of Chi, Section 3.1):
@@ -53,22 +60,18 @@ trait ReconfigScheduler {
   * upstream of the targets (Section 3.2).
   */
 final class EpochScheduler extends ReconfigScheduler {
-  override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome = {
-    val rid = engine.newReconfigId()
-    val latch = new CountDownLatch(targetWorkerCount(engine, r))
-    val allOps = (engine.df.sources.map(_.name) ++ engine.df.ops.map(_.name)).toSet
-    val ctx = MarkerCtx(rid, MarkerKind.Reconfig, allOps, r.updates, latch)
-    val t0 = System.nanoTime()
-    engine.sourceRuntimes.keys.foreach(engine.sendControl(_, ControlMsg.InjectMarker(ctx)))
-    await(latch, timeoutMs, s"epoch reconfiguration of ${r.ops}")
-    ReconfigOutcome(rid, t0, engine.applyTimes(rid))
-  }
+  override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome =
+    request(engine, r, timeoutMs, "epoch reconfiguration") { (rid, done) =>
+      engine.startMarker(engine.sourceRuntimes.keys,
+        MarkerCtx(rid, MarkerKind.Reconfig, engine.df.dag.vertexSet, r.updates, done))
+    }
 }
 
 /** The naive FCM scheduler (Section 4.1): an FCM straight to every target
   * worker, applied immediately after the current tuple — fast but with no
   * synchronization between targets, so it can produce non-conflict-
-  * serializable schedules (schedule S3 of the paper).
+  * serializable schedules (schedule S3 of the paper). Each target operator
+  * is its own singleton component, so no marker leaves it.
   *
   * @param deliveryDelayMs optional artificial per-operator FCM delivery
   *                        delay; tests use it to deterministically exhibit
@@ -76,20 +79,16 @@ final class EpochScheduler extends ReconfigScheduler {
   */
 final class NaiveFcmScheduler(deliveryDelayMs: Map[String, Long] = Map.empty)
     extends ReconfigScheduler {
-  override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome = {
-    val rid = engine.newReconfigId()
-    val latch = new CountDownLatch(targetWorkerCount(engine, r))
-    val t0 = System.nanoTime()
-    r.updates.toSeq.sortBy { case (op, _) => deliveryDelayMs.getOrElse(op, 0L) }.foreach {
-      case (op, update) =>
-        val delay = deliveryDelayMs.getOrElse(op, 0L)
-        if (delay > 0) Thread.sleep(delay)
-        engine.workersOf(op).foreach(
-          engine.sendControl(_, ControlMsg.ApplyUpdate(rid, update, latch)))
+  override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome =
+    request(engine, r, timeoutMs, "naive FCM reconfiguration") { (rid, done) =>
+      r.updates.toSeq.sortBy { case (op, _) => deliveryDelayMs.getOrElse(op, 0L) }.foreach {
+        case (op, update) =>
+          val delay = deliveryDelayMs.getOrElse(op, 0L)
+          if (delay > 0) Thread.sleep(delay)
+          engine.startMarker(engine.workersOf(op),
+            MarkerCtx(rid, MarkerKind.Reconfig, Set(op), Map(op -> update), done))
+      }
     }
-    await(latch, timeoutMs, s"naive FCM reconfiguration of ${r.ops}")
-    ReconfigOutcome(rid, t0, engine.applyTimes(rid))
-  }
 }
 
 /** The FCM multi-version scheduler (Section 4.1): installs the new
@@ -102,16 +101,14 @@ final class NaiveFcmScheduler(deliveryDelayMs: Map[String, Long] = Map.empty)
   */
 final class MultiVersionScheduler(newVersion: Int = 1) extends ReconfigScheduler {
   override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome = {
-    val rid = engine.newReconfigId()
-    val latch = new CountDownLatch(targetWorkerCount(engine, r))
-    val t0 = System.nanoTime()
-    r.updates.foreach { case (op, update) =>
-      engine.workersOf(op).foreach(
-        engine.sendControl(_, ControlMsg.InstallVersion(rid, newVersion, update, latch)))
+    val outcome = request(engine, r, timeoutMs, "multi-version install") { (_, done) =>
+      r.updates.foreach { case (op, update) =>
+        engine.workersOf(op).foreach(
+          engine.sendControl(_, ControlMsg.InstallVersion(newVersion, update, done)))
+      }
     }
-    await(latch, timeoutMs, s"multi-version install of ${r.ops}")
     engine.sourceRuntimes.keys.foreach(engine.sendControl(_, ControlMsg.BumpVersion(newVersion)))
-    ReconfigOutcome(rid, t0, engine.applyTimes(rid))
+    outcome
   }
 }
 
@@ -148,22 +145,15 @@ final class FriesScheduler(
   }
 
   override def execute(engine: Engine, r: Reconfiguration, timeoutMs: Long): ReconfigOutcome = {
-    val rid = engine.newReconfigId()
     val plans = plan(engine.df, r.ops)
-    val latch = new CountDownLatch(targetWorkerCount(engine, r))
     checkpoint.foreach(_.onReconfigRequested())
-    val t0 = System.nanoTime()
-    for (p <- plans; comp <- p.components) {
-      val ctx = MarkerCtx(
-        rid, MarkerKind.Reconfig, comp.ops,
-        r.updates.view.filterKeys(comp.ops).toMap, latch)
-      comp.heads.foreach { headOp =>
-        engine.workersOf(headOp).foreach(
-          engine.sendControl(_, ControlMsg.StartComponentMarker(ctx)))
+    request(engine, r, timeoutMs, "Fries reconfiguration", plans) { (rid, done) =>
+      for (p <- plans; comp <- p.components) {
+        val ctx = MarkerCtx(rid, MarkerKind.Reconfig, comp.ops,
+          r.updates.view.filterKeys(comp.ops).toMap, done)
+        engine.startMarker(comp.heads.toSeq.flatMap(engine.workersOf), ctx)
       }
+      checkpoint.foreach(_.onHeadFcmsDelivered())
     }
-    checkpoint.foreach(_.onHeadFcmsDelivered())
-    await(latch, timeoutMs, s"Fries reconfiguration of ${r.ops}")
-    ReconfigOutcome(rid, t0, engine.applyTimes(rid), plans)
   }
 }

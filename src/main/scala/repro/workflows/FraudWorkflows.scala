@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.OpMeta
-import repro.data.{Payments, Rows}
+import repro.data.Payments
 import repro.dataflow._
 import repro.workflows.Logics._
 

@@ -2,7 +2,6 @@ package repro.workflows
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.OpMeta
 import repro.data.{Rows, TpcDsLite}
 import repro.dataflow._
 import repro.workflows.Logics._

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 
 /** Sanity of the synthetic generators (determinism, referential integrity,
   * value ranges) plus DuckDB-oracle smoke tests over them.
@@ -85,27 +85,6 @@ class GeneratorsSpec extends SparkSpec {
     Oracle.assertEquivalent(agg,
       "SELECT p_state, count(*) AS cnt FROM payments GROUP BY p_state",
       "payments" -> p)
-  }
-
-  test("oracle smoke: provided TPC-H-lite lineitem aggregation matches DuckDB") {
-    val li = SynthData.lineitem(spark, 0.001)
-    val agg = li.groupBy("l_returnflag")
-      .agg(round(sum("l_quantity"), 2) as "qty", count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty,
-        |count(*) AS cnt FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("oracle smoke: TPC-H-lite orders/customer join matches DuckDB") {
-    val o = SynthData.orders(spark, 0.002)
-    val c = SynthData.customer(spark, 0.002)
-    val j = o.join(c, col("o_custkey") === col("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(j,
-      """SELECT c_mktsegment, count(*) AS cnt FROM orders
-        |JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
   }
 
   test("Rows.toMaps converts dates, decimals, and nested structs") {

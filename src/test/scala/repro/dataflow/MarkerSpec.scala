@@ -1,6 +1,5 @@
 package repro.dataflow
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testutil.TestData
 import repro.workflows.Logics._
@@ -21,9 +20,8 @@ class MarkerSpec extends AnyFunSuite {
   }
 
   private def reconfigCtx(engine: Engine, ops: Set[String], targets: Map[String, FunctionUpdate],
-      latchCount: Int) =
-    MarkerCtx(engine.newReconfigId(), MarkerKind.Reconfig, ops, targets,
-      new CountDownLatch(latchCount))
+      acks: Int) =
+    MarkerCtx(engine.newReconfigId(), MarkerKind.Reconfig, ops, targets, new Completion(acks))
 
   test("epoch alignment waits for markers from ALL inputs") {
     val df = twoSourceUnion()
@@ -33,11 +31,11 @@ class MarkerSpec extends AnyFunSuite {
       val ctx = reconfigCtx(engine, Set("S1", "S2", "U", "SINK"),
         Map("U" -> FunctionUpdate.identity), 1)
       // Marker only from S1: U must NOT apply.
-      engine.sendControl(WorkerId("S1", 0), ControlMsg.InjectMarker(ctx))
-      assert(!ctx.latch.await(300, TimeUnit.MILLISECONDS), "applied without alignment")
+      engine.sendControl(WorkerId("S1", 0), ControlMsg.StartMarker(ctx))
+      assert(!ctx.done.await(300), "applied without alignment")
       // Marker from S2 completes the alignment.
-      engine.sendControl(WorkerId("S2", 0), ControlMsg.InjectMarker(ctx))
-      assert(ctx.latch.await(10_000, TimeUnit.MILLISECONDS), "never applied")
+      engine.sendControl(WorkerId("S2", 0), ControlMsg.StartMarker(ctx))
+      assert(ctx.done.await(10_000), "never applied")
     } finally engine.shutdownNow()
   }
 
@@ -53,11 +51,11 @@ class MarkerSpec extends AnyFunSuite {
     val engine = new Engine(df)
     engine.start()
     try {
-      // Fries-style component {A}: a StartComponentMarker on A applies the
-      // update and must not leak a marker to B (B is not a participant).
+      // Fries-style component {A}: a StartMarker on A applies the update
+      // and must not leak a marker to B (B is not a participant).
       val ctx = reconfigCtx(engine, Set("A"), Map("A" -> FunctionUpdate.identity), 1)
-      engine.sendControl(WorkerId("A", 0), ControlMsg.StartComponentMarker(ctx))
-      assert(ctx.latch.await(10_000, TimeUnit.MILLISECONDS))
+      engine.sendControl(WorkerId("A", 0), ControlMsg.StartMarker(ctx))
+      assert(ctx.done.await(10_000))
       Thread.sleep(200)
       assert(engine.workers(WorkerId("A", 0)).currentVersion == 1)
       assert(engine.workers(WorkerId("B", 0)).currentVersion == 0)
@@ -82,8 +80,8 @@ class MarkerSpec extends AnyFunSuite {
       val ctx = reconfigCtx(engine, Set("A", "B"),
         Map("A" -> FunctionUpdate.identity, "B" -> FunctionUpdate.identity), 4)
       engine.workersOf("A").foreach(
-        engine.sendControl(_, ControlMsg.StartComponentMarker(ctx)))
-      assert(ctx.latch.await(10_000, TimeUnit.MILLISECONDS))
+        engine.sendControl(_, ControlMsg.StartMarker(ctx)))
+      assert(ctx.done.await(10_000))
       (engine.workersOf("A") ++ engine.workersOf("B")).foreach { w =>
         assert(engine.workers(w).currentVersion == 1, s"$w not updated")
       }
@@ -108,8 +106,8 @@ class MarkerSpec extends AnyFunSuite {
       Thread.sleep(300) // let S1 finish
       val ctx = reconfigCtx(engine, Set("S1", "S2", "U", "SINK"),
         Map("U" -> FunctionUpdate.identity), 1)
-      engine.sendControl(WorkerId("S2", 0), ControlMsg.InjectMarker(ctx))
-      assert(ctx.latch.await(10_000, TimeUnit.MILLISECONDS))
+      engine.sendControl(WorkerId("S2", 0), ControlMsg.StartMarker(ctx))
+      assert(ctx.done.await(10_000))
     } finally engine.shutdownNow()
   }
 
@@ -122,16 +120,15 @@ class MarkerSpec extends AnyFunSuite {
         Operator("SINK", 1, _ => new CollectLogic)),
       edges = Vector(EdgeSpec("SRC", "FD"), EdgeSpec("FD", "SINK")))
     val engine = new Engine(df)
-    val latch = new CountDownLatch(1)
     val update = FunctionUpdate.replace(
       s => new FraudScore("p_user", "p_amount", "s", 3, modelTag = 1,
         initial = s.asInstanceOf[Map[Any, Vector[Double]]]),
       transform = FraudScore.rewindow(3))
+    val ctx = reconfigCtx(engine, Set("FD"), Map("FD" -> update), 1)
     engine.start()
-    engine.sendControl(WorkerId("FD", 0),
-      ControlMsg.ApplyUpdate(engine.newReconfigId(), update, latch))
+    engine.sendControl(WorkerId("FD", 0), ControlMsg.StartMarker(ctx))
     engine.awaitCompletion(30_000)
-    assert(latch.getCount == 0)
+    assert(ctx.done.await(0))
     val st = engine.logicOf(WorkerId("FD", 0)).state.asInstanceOf[Map[Any, Vector[Double]]]
     // New window is 3: no per-user queue may exceed it.
     st.values.foreach(q => assert(q.size <= 3))

@@ -44,6 +44,25 @@ class FaultToleranceSpec extends AnyFunSuite {
     } finally engine.shutdownNow()
   }
 
+  test("two coordinators on one engine each complete their own checkpoints") {
+    val engine = new Engine(figFlow)
+    val first = new CheckpointCoordinator(engine)
+    val second = new CheckpointCoordinator(engine)
+    val allWorkers = engine.workers.keySet
+    engine.start()
+    try {
+      Thread.sleep(100)
+      val id = first.trigger().get
+      assert(first.awaitCompleted(id, 30_000), "first coordinator never completed")
+      assert(first.completed(id).keySet == allWorkers)
+      val other = second.trigger().get
+      assert(other != id)
+      assert(second.awaitCompleted(other, 30_000), "second coordinator never completed")
+      assert(second.completed(other).keySet == allWorkers)
+      assert(first.completed.keySet == Set(id))
+    } finally engine.shutdownNow()
+  }
+
   test("a reconfiguration request blocks new checkpoints until head FCMs are out") {
     val engine = new Engine(figFlow)
     val coord = new CheckpointCoordinator(engine)

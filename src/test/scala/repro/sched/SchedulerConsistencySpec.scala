@@ -184,10 +184,14 @@ class SchedulerConsistencySpec extends AnyFunSuite {
   }
 
   test("reconfiguration outcome reports apply times for every target worker") {
-    val (_, outcome) = runWithReconfig(w5Flow, Reconfiguration.dummy("FD3", "FD4"),
-      new FriesScheduler())
-    assert(outcome.applyTimes.keySet ==
-      Set(WorkerId("FD3", 0), WorkerId("FD3", 1), WorkerId("FD4", 0), WorkerId("FD4", 1)))
-    assert(outcome.delayNanos >= 0)
+    val schedulers = Seq(new NaiveFcmScheduler(), new EpochScheduler(),
+      new MultiVersionScheduler(), new FriesScheduler())
+    schedulers.foreach { scheduler =>
+      val (_, outcome) = runWithReconfig(w5Flow, Reconfiguration.dummy("FD3", "FD4"), scheduler)
+      assert(outcome.applyTimes.keySet ==
+        Set(WorkerId("FD3", 0), WorkerId("FD3", 1), WorkerId("FD4", 0), WorkerId("FD4", 1)),
+        scheduler.getClass.getSimpleName)
+      assert(outcome.delayNanos >= 0)
+    }
   }
 }
