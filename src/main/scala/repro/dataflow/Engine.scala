@@ -9,9 +9,17 @@ import repro.ft.ReplayRecorder
 /** A point-to-point FIFO data channel between two workers. Bounded: a full
   * queue blocks the producer, which is how backpressure (and the in-flight
   * backlog that delays epoch-based reconfiguration, Section 3.2) arises.
+  * Every enqueue goes through [[put]], which wakes the consumer if it is
+  * idle.
   */
 final class Channel(val from: WorkerId, val to: WorkerId, capacity: Int) {
-  val q = new ArrayBlockingQueue[Msg](capacity)
+  private val q = new ArrayBlockingQueue[Msg](capacity)
+  // Bound by the consuming worker's constructor, before any thread starts.
+  private[dataflow] var consumer: WorkerRuntime = _
+
+  private[dataflow] def put(m: Msg): Unit = { q.put(m); consumer.wake() }
+  private[dataflow] def poll(): Msg = q.poll()
+  private[dataflow] def isEmpty: Boolean = q.isEmpty
   def backlog: Int = q.size
 }
 
@@ -21,18 +29,18 @@ final class OutPort(val edge: EdgeSpec, val channels: Vector[Channel]) {
 
   /** Route one data tuple according to the edge's partitioning. */
   def send(t: DTuple): Unit = edge.partition match {
-    case Partition.Forward => channels(0).q.put(Msg.Data(t))
+    case Partition.Forward => channels(0).put(Msg.Data(t))
     case Partition.Hash(k) =>
-      channels(math.floorMod(t.values(k).hashCode, channels.size)).q.put(Msg.Data(t))
-    case Partition.Broadcast => channels.foreach(_.q.put(Msg.Data(t)))
+      channels(math.floorMod(t.values(k).hashCode, channels.size)).put(Msg.Data(t))
+    case Partition.Broadcast => channels.foreach(_.put(Msg.Data(t)))
     case Partition.RoundRobin =>
-      channels(rr % channels.size).q.put(Msg.Data(t)); rr += 1
+      channels(rr % channels.size).put(Msg.Data(t)); rr += 1
   }
 
   /** Deliver a marker or EOS to every channel of the edge (markers must
     * reach all downstream workers for alignment).
     */
-  def sendAll(m: Msg): Unit = channels.foreach(_.q.put(m))
+  def sendAll(m: Msg): Unit = channels.foreach(_.put(m))
 
   /** Forward a marker along this edge only if its target participates
     * (for Fries: the MCS component; for the epoch scheduler: everyone).
@@ -53,7 +61,8 @@ final class CollectLogic extends OpLogic {
   * Every worker (and every source worker) runs on its own thread, connected
   * by bounded FIFO channels; each worker also owns an out-of-band control
   * queue drained between data messages — the engine's fast control messages
-  * (Definition 4.1). Schedulers in `repro.sched` drive reconfigurations
+  * (Definition 4.1). An idle worker sleeps until a producer or a control
+  * sender wakes it. Schedulers in `repro.sched` drive reconfigurations
   * through [[sendControl]].
   *
   * @param defaultCapacity channel capacity when an `EdgeSpec` doesn't set one
@@ -145,14 +154,6 @@ final class Engine(
   def shutdownNow(): Unit = {
     threads.foreach(_.interrupt())
     threads.foreach(_.join(2_000))
-    // A worker parked in a cost simulation may need a second interrupt
-    // after unparking; insist until everything is down.
-    var rounds = 0
-    while (threads.exists(_.isAlive) && rounds < 5) {
-      threads.filter(_.isAlive).foreach(_.interrupt())
-      threads.filter(_.isAlive).foreach(_.join(1_000))
-      rounds += 1
-    }
   }
 
   /** Ask every source to finish its stream (EOS propagates, workers drain). */
@@ -165,7 +166,7 @@ final class Engine(
 
   def sendControl(w: WorkerId, c: ControlMsg): Unit =
     workers.get(w) match {
-      case Some(rt) => rt.control.add(c)
+      case Some(rt) => rt.control.add(c); rt.wake()
       case None => sourceRuntimes(w).control.add(c)
     }
 

@@ -7,6 +7,8 @@ import scala.collection.mutable
 /** One worker of an operator: a thread that drains its control queue
   * between data messages (so FCMs bypass data, Definition 4.1), performs
   * epoch-marker alignment (Section 3.1), and applies function updates.
+  * With nothing to do it parks until whoever enqueues work for it — a
+  * `Channel.put` on an input or `Engine.sendControl` — calls [[wake]].
   */
 final class WorkerRuntime(
     val id: WorkerId,
@@ -17,6 +19,12 @@ final class WorkerRuntime(
     extends Runnable {
 
   val control = new ConcurrentLinkedQueue[ControlMsg]
+  inputs.foreach(_.consumer = this)
+
+  // Set only while this worker is about to park or parked: a producer then
+  // unparks `thread`, and otherwise pays just this volatile read.
+  @volatile private var idle = false
+  @volatile private var thread: Thread = _
 
   // All mutable state below is touched only by this worker's thread.
   private var logic: OpLogic = op.logic(id.idx)
@@ -39,14 +47,18 @@ final class WorkerRuntime(
   def currentLogicForInspection: OpLogic = logic
   def currentVersion: Int = version
 
+  /** Called after enqueueing work for this worker, from any thread. */
+  private[dataflow] def wake(): Unit = if (idle) LockSupport.unpark(thread)
+
   override def run(): Unit =
     try {
+      thread = Thread.currentThread()
       var rr = 0
       val n = inputs.size
       while (!finished) {
-        // parkNanos returns silently on interrupt: surface it so
-        // shutdownNow() terminates the thread promptly.
-        if (Thread.currentThread().isInterrupted) throw new InterruptedException
+        // park returns silently on interrupt: surface it so shutdownNow()
+        // terminates the thread promptly.
+        if (thread.isInterrupted) throw new InterruptedException
         drainControl()
         var polled: Msg = null
         var chIdx = -1
@@ -54,7 +66,7 @@ final class WorkerRuntime(
         while (i < n && polled == null) {
           val idx = (rr + i) % n
           if (!blocked(idx) && !eosChannels(idx)) {
-            val m = inputs(idx).q.poll()
+            val m = inputs(idx).poll()
             if (m != null) { polled = m; chIdx = idx }
           }
           i += 1
@@ -62,12 +74,32 @@ final class WorkerRuntime(
         rr = if (n == 0) 0 else (rr + 1) % n
         if (polled == null) {
           if (eosChannels.size == n) finish()
-          else LockSupport.parkNanos(20_000)
+          else awaitWork()
         } else handle(chIdx, polled)
       }
     } catch {
       case _: InterruptedException => () // shutdownNow
     }
+
+  /** Park until woken. `idle` is published before the queues are re-checked,
+    * and producers enqueue before they read `idle`, so either the producer
+    * sees `idle` and unparks, or this check sees its message: no wake-up is
+    * lost. A spurious return just re-enters the run loop.
+    */
+  private def awaitWork(): Unit = {
+    idle = true
+    if (!hasWork) LockSupport.park(this)
+    idle = false
+  }
+
+  private def hasWork: Boolean = {
+    var i = 0
+    while (i < inputs.size) {
+      if (!blocked(i) && !eosChannels(i) && !inputs(i).isEmpty) return true
+      i += 1
+    }
+    !control.isEmpty
+  }
 
   private def drainControl(): Unit = {
     var c = control.poll()
@@ -114,15 +146,22 @@ final class WorkerRuntime(
     }
   }
 
-  /** Simulated processing cost. Park for coarse sleeps; spin below ~100µs
-    * where parkNanos is too imprecise.
+  /** Simulated processing cost, lasting at least `nanos`. Park for coarse
+    * sleeps, again after every early return (a spurious wake-up or a
+    * leftover permit from [[wake]]); spin below ~100µs where parkNanos is
+    * too imprecise. An interrupt ends the worker, as in the idle path.
     */
-  private def spin(nanos: Long): Unit =
-    if (nanos >= 100_000L) LockSupport.parkNanos(nanos)
-    else {
-      val end = System.nanoTime() + nanos
-      while (System.nanoTime() < end) {}
-    }
+  private def spin(nanos: Long): Unit = {
+    val end = System.nanoTime() + nanos
+    if (nanos >= 100_000L) {
+      var left = nanos
+      while (left > 0) {
+        LockSupport.parkNanos(left)
+        if (thread.isInterrupted) throw new InterruptedException
+        left = end - System.nanoTime()
+      }
+    } else while (System.nanoTime() < end) {}
+  }
 
   // --------------------------------------------------------- marker logic
   private def onMarker(chIdx: Int, ctx: MarkerCtx): Unit = {

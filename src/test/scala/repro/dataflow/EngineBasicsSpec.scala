@@ -1,5 +1,10 @@
 package repro.dataflow
 
+import java.lang.management.ManagementFactory
+import java.util.concurrent.CountDownLatch
+import java.util.concurrent.atomic.AtomicBoolean
+import java.util.concurrent.locks.LockSupport
+import scala.jdk.CollectionConverters._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testutil.TestData
 import repro.workflows.Logics._
@@ -12,6 +17,12 @@ class EngineBasicsSpec extends AnyFunSuite {
     engine.awaitCompletion(60_000)
     engine
   }
+
+  /** The live threads of the workers named `names` (`op#idx`); the tests
+    * below use operator names no other suite uses.
+    */
+  private def threadsNamed(names: Set[String]): Vector[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.filter(t => names(t.getName) && t.isAlive).toVector
 
   private def simpleChain(rows: Vector[Map[String, Any]], p: Int = 1,
       partition: Partition = Partition.RoundRobin): Dataflow =
@@ -227,6 +238,87 @@ class EngineBasicsSpec extends AnyFunSuite {
     engine.start()
     Thread.sleep(50)
     engine.shutdownNow() // must not hang
+  }
+
+  test("simulated cost lasts its full duration even when the worker is unparked") {
+    // parkNanos may return early (spurious wake-up, leftover permit); the
+    // helper thread forces that every ~20 µs. 50 tuples at 1 ms each must
+    // still take at least 50 ms.
+    val rows = TestData.simpleRows(50)
+    val df = Dataflow(
+      sources = Vector(SourceSpec("COST_SRC", () => rows.iterator)),
+      ops = Vector(
+        Operator("COST_A", 1, _ => new Pass(costNanos = 1_000_000L)),
+        Operator("COST_SINK", 1, _ => new CollectLogic)),
+      edges = Vector(EdgeSpec("COST_SRC", "COST_A"), EdgeSpec("COST_A", "COST_SINK")))
+    val engine = new Engine(df)
+    val t0 = System.nanoTime()
+    engine.start()
+    val Vector(worker) = threadsNamed(Set("COST_A#0"))
+    val stop = new AtomicBoolean(false)
+    val unparker = new Thread(() =>
+      while (!stop.get()) { LockSupport.unpark(worker); LockSupport.parkNanos(20_000) })
+    unparker.setDaemon(true)
+    unparker.start()
+    try engine.awaitCompletion(30_000)
+    finally { stop.set(true); unparker.join() }
+    val elapsedMs = (System.nanoTime() - t0) / 1e6
+    assert(engine.collected("COST_SINK").size == 50)
+    assert(elapsedMs >= 50, s"50 tuples at 1 ms each finished in ${elapsedMs}ms")
+  }
+
+  test("idle workers sleep without using CPU, and stopSources wakes them with end-of-stream") {
+    // One row per second: after the first row every worker is idle, while
+    // the source, sleeping between rows, still reads its control queue.
+    val rows = TestData.simpleRows(10)
+    val df = Dataflow(
+      sources = Vector(SourceSpec("IDLE_SRC", () => rows.iterator, ratePerSec = 1, loop = true)),
+      ops = Vector(
+        Operator("IDLE_A", 1, _ => new Pass),
+        Operator("IDLE_B", 2, _ => new Pass),
+        Operator("IDLE_SINK", 1, _ => new CollectLogic)),
+      edges = Vector(
+        EdgeSpec("IDLE_SRC", "IDLE_A"),
+        EdgeSpec("IDLE_A", "IDLE_B", Partition.Broadcast),
+        EdgeSpec("IDLE_B", "IDLE_SINK")))
+    val engine = new Engine(df)
+    engine.start()
+    try {
+      TestData.awaitCollected(engine, "IDLE_SINK", 2)
+      val mx = ManagementFactory.getThreadMXBean
+      val workers = threadsNamed(engine.workers.keySet.map(_.toString))
+      assert(workers.size == 4)
+      val before = workers.map(t => mx.getThreadCpuTime(t.getId))
+      Thread.sleep(300)
+      workers.zip(before).foreach { case (t, cpu0) =>
+        val usedMs = (mx.getThreadCpuTime(t.getId) - cpu0) / 1e6
+        assert(usedMs < 20, s"idle ${t.getName} used ${usedMs}ms of CPU in 300ms")
+      }
+      engine.stopSources()
+      engine.awaitCompletion(1_000)
+      val emitted = engine.sourceRuntimes(WorkerId("IDLE_SRC", 0)).emitted
+      assert(engine.collected("IDLE_SINK").size == 2 * emitted)
+    } finally engine.shutdownNow()
+  }
+
+  test("shutdownNow on an idle pipeline leaves no live engine threads") {
+    val gate = new CountDownLatch(1)
+    val rows = TestData.simpleRows(10)
+    val df = Dataflow(
+      sources = Vector(SourceSpec("DOWN_SRC", () => TestData.gated(rows, 3, gate))),
+      ops = Vector(
+        Operator("DOWN_A", 2, _ => new Pass),
+        Operator("DOWN_SINK", 1, _ => new CollectLogic)),
+      edges = Vector(
+        EdgeSpec("DOWN_SRC", "DOWN_A", Partition.Hash("k")),
+        EdgeSpec("DOWN_A", "DOWN_SINK")))
+    val engine = new Engine(df)
+    engine.start()
+    TestData.awaitCollected(engine, "DOWN_SINK", 3)
+    val threads = threadsNamed(Set("DOWN_SRC#0", "DOWN_A#0", "DOWN_A#1", "DOWN_SINK#0"))
+    assert(threads.size == 4)
+    engine.shutdownNow()
+    threads.foreach(t => assert(!t.isAlive, s"${t.getName} still alive after shutdownNow"))
   }
 
   test("schedule log records one data entry per processed tuple") {

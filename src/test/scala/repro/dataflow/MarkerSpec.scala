@@ -1,6 +1,12 @@
 package repro.dataflow
 
+import java.util.concurrent.CountDownLatch
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ft.CheckpointCoordinator
+import repro.sched.FriesScheduler
 import repro.testutil.TestData
 import repro.workflows.Logics._
 
@@ -134,5 +140,74 @@ class MarkerSpec extends AnyFunSuite {
     st.values.foreach(q => assert(q.size <= 3))
     // Post-update outputs carry the new model tag.
     assert(engine.collected("SINK").exists(_.values("s_model") == 1))
+  }
+
+  private def tagWith(tag: Int): OpLogic = new MapFilter(m => Some(m + ("tag" -> tag)))
+
+  test("an update reaches an idle worker at once, and the rest of the stream sees it") {
+    val gate = new CountDownLatch(1)
+    val rows = TestData.simpleRows(10)
+    val df = Dataflow(
+      sources = Vector(SourceSpec("SRC", () => TestData.gated(rows, 5, gate))),
+      ops = Vector(
+        Operator("MID", 1, _ => tagWith(0)),
+        Operator("SINK", 1, _ => new CollectLogic)),
+      edges = Vector(EdgeSpec("SRC", "MID"), EdgeSpec("MID", "SINK")))
+    val engine = new Engine(df)
+    engine.start()
+    try {
+      TestData.awaitCollected(engine, "SINK", 5) // every worker is idle now
+      // Only the control-queue wake-up can get this applied within 1 s.
+      new FriesScheduler().execute(engine,
+        Reconfiguration.of("MID" -> FunctionUpdate.replace(_ => tagWith(1))), timeoutMs = 1_000)
+      gate.countDown()
+      engine.awaitCompletion(10_000)
+      val tags = engine.collected("SINK").map(t => t.long("k") -> t("tag")).toMap
+      assert(tags == (0 until 10).map(k => k.toLong -> (if (k < 5) 0 else 1)).toMap)
+    } finally engine.shutdownNow()
+  }
+
+  test("no wake-up is lost: 200 diamond runs at channel capacity 1 with a reconfiguration and a checkpoint") {
+    // SRC -> A -> {B, C} -> D -> SINK. The source stops at a gate after 10,
+    // 20 and 60 rows. Each request is sent at a gate and the gate is then
+    // opened, so its markers race with data, and no target can finish before
+    // the request completes. A lost wake-up hangs a run instead of passing.
+    val rows = TestData.simpleRows(60)
+    for (run <- 1 to 200) {
+      val Seq(g1, g2, g3) = Seq.fill(3)(new CountDownLatch(1))
+      val df = Dataflow(
+        sources = Vector(SourceSpec("SRC", () =>
+          TestData.gated(rows.take(10), 10, g1) ++ TestData.gated(rows.slice(10, 20), 10, g2) ++
+            TestData.gated(rows.drop(20), 40, g3))),
+        ops = Vector(
+          Operator("A", 1, _ => new Replicate(2)),
+          Operator("B", 2, _ => new Pass),
+          Operator("C", 2, _ => new Pass),
+          Operator("D", 1, _ => new Pass),
+          Operator("SINK", 1, _ => new CollectLogic)),
+        edges = Vector(
+          EdgeSpec("SRC", "A"),
+          EdgeSpec("A", "B", Partition.Hash("k")),
+          EdgeSpec("A", "C", Partition.Hash("k")),
+          EdgeSpec("B", "D"),
+          EdgeSpec("C", "D"),
+          EdgeSpec("D", "SINK")))
+      val engine = new Engine(df, defaultCapacity = 1)
+      val deadline = System.nanoTime() + 10_000_000_000L
+      def leftMs = math.max(1L, (deadline - System.nanoTime()) / 1_000_000L)
+      engine.start()
+      try {
+        val reconfig = Future(new FriesScheduler().execute(engine, Reconfiguration.dummy("B", "D"), leftMs))
+        g1.countDown()
+        Await.result(reconfig, leftMs.millis)
+        val coord = new CheckpointCoordinator(engine)
+        val cp = coord.trigger().get
+        g2.countDown()
+        assert(coord.awaitCompleted(cp, leftMs), s"run $run: the checkpoint did not complete")
+        g3.countDown()
+        engine.awaitCompletion(leftMs)
+        assert(engine.collected("SINK").size == 2 * rows.size, s"run $run")
+      } finally engine.shutdownNow()
+    }
   }
 }

@@ -1,6 +1,8 @@
 package repro.testutil
 
+import java.util.concurrent.CountDownLatch
 import scala.util.Random
+import repro.dataflow.Engine
 
 /** Pure-Scala deterministic row generators for engine-only tests (the
   * Spark-generated datasets are exercised in the workflow/data suites; the
@@ -38,4 +40,19 @@ object TestData {
 
   def simpleRows(n: Int): Vector[Map[String, Any]] =
     (0 until n).map(i => Map[String, Any]("k" -> i.toLong, "v" -> i.toDouble)).toVector
+
+  /** `rows` as a source iterator that blocks on `gate` after the first
+    * `before` rows, so the dataflow goes idle until the test opens it.
+    */
+  def gated(rows: Vector[Map[String, Any]], before: Int, gate: CountDownLatch): Iterator[Map[String, Any]] =
+    rows.iterator.take(before) ++ { gate.await(); rows.iterator.drop(before) }
+
+  /** Wait until the `CollectLogic` sink `op` holds at least `n` tuples. */
+  def awaitCollected(engine: Engine, op: String, n: Int): Unit = {
+    val deadline = System.nanoTime() + 10_000_000_000L
+    while (engine.collected(op).size < n) {
+      require(System.nanoTime() < deadline, s"$op never collected $n tuples")
+      Thread.sleep(1)
+    }
+  }
 }
