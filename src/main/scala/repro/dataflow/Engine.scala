@@ -4,7 +4,6 @@ import java.util.concurrent.{ArrayBlockingQueue, ConcurrentLinkedQueue}
 import java.util.concurrent.atomic.AtomicLong
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
-import repro.ft.ReplayRecorder
 
 /** A point-to-point FIFO data channel between two workers. Bounded: a full
   * queue blocks the producer, which is how backpressure (and the in-flight
@@ -66,15 +65,13 @@ final class CollectLogic extends OpLogic {
   * through [[sendControl]].
   *
   * @param defaultCapacity channel capacity when an `EdgeSpec` doesn't set one
-  * @param logEnabled      record the schedule log for the consistency audit
-  * @param recorder        optional event recorder for logging-based fault
-  *                        tolerance (Section 7.3)
+  * @param logEnabled      record the per-worker schedule log, read by the
+  *                        consistency audit and by replay (Section 7.3)
   */
 final class Engine(
     val df: Dataflow,
     defaultCapacity: Int = 256,
-    logEnabled: Boolean = true,
-    recorder: Option[ReplayRecorder] = None) {
+    logEnabled: Boolean = true) {
 
   require(df.sources.nonEmpty, "dataflow needs at least one source")
   df.sources.foreach { s =>
@@ -114,14 +111,11 @@ final class Engine(
     id = WorkerId(op.name, i)
   } yield id -> new WorkerRuntime(id, op, inChannels(id), outPortsFor(id), this)).toMap
 
-  val sourceRuntimes: Map[WorkerId, SourceRuntime] = {
-    val flat = for {
-      (s, si) <- df.sources.zipWithIndex
-      i <- 0 until s.parallelism
-      id = WorkerId(s.name, i)
-    } yield id -> new SourceRuntime(id, s, outPortsFor(id), this)
-    flat.toMap
-  }
+  val sourceRuntimes: Map[WorkerId, SourceRuntime] = (for {
+    s <- df.sources
+    i <- 0 until s.parallelism
+    id = WorkerId(s.name, i)
+  } yield id -> new SourceRuntime(id, s, outPortsFor(id))).toMap
 
   private val threads = mutable.Buffer.empty[Thread]
 
@@ -173,8 +167,6 @@ final class Engine(
   /** Start marker `ctx` at each of `heads` (workers or sources). */
   def startMarker(heads: Iterable[WorkerId], ctx: MarkerCtx): Unit =
     heads.foreach(sendControl(_, ControlMsg.StartMarker(ctx)))
-
-  private[dataflow] def replayRecorder: Option[ReplayRecorder] = recorder
 
   // ------------------------------------------------------------ inspection
   def workersOf(op: String): Vector[WorkerId] =

@@ -1,43 +1,57 @@
 package repro.dataflow
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
 import repro.txn.VersionAudit
 import scala.jdk.CollectionConverters._
 
-/** Execution-wide schedule log used by the consistency audit
-  * (`repro.txn.VersionAudit`). Each worker appends one record per data
-  * operation (with the config version it used) and per function-update
-  * operation. Appends are lock-free; the global sequence number gives a
-  * linearization for debugging, while correctness of the audit only relies
-  * on per-worker-thread ordering.
+object ScheduleLog {
+
+  /** One event in a worker's own order: a data operation or the point where
+    * the worker applied a function update.
+    */
+  sealed trait Event
+
+  /** A data operation: the input tuple, the configuration version that
+    * processed it, and the outputs it produced.
+    */
+  final case class Process(t: DTuple, versionUsed: Int, outputs: Seq[(Map[String, Any], Int)])
+      extends Event
+
+  /** A function-update application, at its position in the worker's order. */
+  final case class Apply(update: FunctionUpdate) extends Event
+}
+
+/** The execution's schedule log: one append-only queue per worker holding
+  * that worker's events in the order it took them. Conflicts exist only
+  * between operations on the same operator (Definition 4.6), and at the
+  * physical level on the same worker (Section 7.2), so per-worker order is
+  * all the consistency audit (`repro.txn.VersionAudit`) needs. It is also
+  * the log that logging-based recovery replays (Section 7.3,
+  * `repro.ft.Replay`).
   *
-  * Logging is disabled in delay benchmarks to keep the data path cheap —
-  * the Fries scheduler itself has no bookkeeping on the data path before a
-  * reconfiguration arrives (Section 1.1).
+  * Logging is disabled in delay benchmarks: then no worker holds a queue and
+  * the data path does no bookkeeping, as the Fries scheduler has none before
+  * a reconfiguration arrives (Section 1.1).
   */
-final class ScheduleLog(val enabled: Boolean) {
+final class ScheduleLog(enabled: Boolean) {
+  import ScheduleLog._
 
-  sealed trait Entry { def seq: Long }
-  final case class DataEntry(seq: Long, txn: Long, worker: WorkerId, version: Int) extends Entry
-  final case class UpdateEntry(seq: Long, worker: WorkerId, newVersion: Int) extends Entry
+  private val queues = new ConcurrentHashMap[WorkerId, ConcurrentLinkedQueue[Event]]
 
-  private val seq = new AtomicLong(0)
-  private val buf = new ConcurrentLinkedQueue[Entry]
+  /** The queue worker `w` appends to, or null when logging is disabled.
+    * Each worker fetches it once, at construction.
+    */
+  private[dataflow] def queueOf(w: WorkerId): ConcurrentLinkedQueue[Event] =
+    if (enabled) queues.computeIfAbsent(w, _ => new ConcurrentLinkedQueue[Event]) else null
 
-  def data(txn: Long, worker: WorkerId, version: Int): Unit =
-    if (enabled) buf.add(DataEntry(seq.getAndIncrement(), txn, worker, version))
+  /** Worker `w`'s events in its own order. */
+  def eventsOf(w: WorkerId): Vector[Event] =
+    Option(queues.get(w)).fold(Vector.empty[Event])(_.asScala.toVector)
 
-  def update(worker: WorkerId, newVersion: Int): Unit =
-    if (enabled) buf.add(UpdateEntry(seq.getAndIncrement(), worker, newVersion))
-
-  def entries: Vector[Entry] = buf.asScala.toVector.sortBy(_.seq)
-
-  /** Data operations in audit form. */
+  /** Data operations in audit form, worker by worker. */
   def dataRecords: Seq[VersionAudit.DataRecord] =
-    entries.collect { case DataEntry(_, txn, w, v) =>
-      VersionAudit.DataRecord(txn, w.op, w.toString, v)
+    queues.asScala.toVector.flatMap { case (w, q) =>
+      val worker = w.toString
+      q.asScala.collect { case Process(t, v, _) => VersionAudit.DataRecord(t.txnId, w.op, worker, v) }
     }
-
-  def clear(): Unit = buf.clear()
 }

@@ -6,7 +6,7 @@ import java.util.concurrent.locks.LockSupport
 
 object SourceRuntime {
   // Global worker counter so txn ids are unique across all source workers
-  // of all engines in a JVM (48-bit worker prefix | sequence).
+  // of all engines in a JVM (24-bit worker prefix | 40-bit sequence).
   private val workerSeq = new AtomicLong(0)
 }
 
@@ -18,8 +18,7 @@ object SourceRuntime {
 final class SourceRuntime(
     val id: WorkerId,
     spec: SourceSpec,
-    outPorts: Vector[OutPort],
-    engine: Engine)
+    outPorts: Vector[OutPort])
     extends Runnable {
 
   val control = new ConcurrentLinkedQueue[ControlMsg]

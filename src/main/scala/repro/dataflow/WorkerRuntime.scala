@@ -3,6 +3,12 @@ package repro.dataflow
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.locks.LockSupport
 import scala.collection.mutable
+import WorkerRuntime.AlignState
+
+object WorkerRuntime {
+  private final case class AlignState(ctx: MarkerCtx, expected: Set[Int],
+      arrived: mutable.Set[Int])
+}
 
 /** One worker of an operator: a thread that drains its control queue
   * between data messages (so FCMs bypass data, Definition 4.1), performs
@@ -20,6 +26,8 @@ final class WorkerRuntime(
 
   val control = new ConcurrentLinkedQueue[ControlMsg]
   inputs.foreach(_.consumer = this)
+  // This worker's schedule-log queue; null when the log is disabled.
+  private val logQ = engine.log.queueOf(id)
 
   // Set only while this worker is about to park or parked: a producer then
   // unparks `thread`, and otherwise pays just this volatile read.
@@ -34,8 +42,6 @@ final class WorkerRuntime(
   private var multiVersion = false
   private val versions = new java.util.TreeMap[Int, OpLogic]()
 
-  private final case class AlignState(ctx: MarkerCtx, expected: Set[Int],
-      arrived: mutable.Set[Int])
   private val aligning = mutable.Map.empty[Long, AlignState]
   private val blocked = mutable.Set.empty[Int]
   private val eosChannels = mutable.Set.empty[Int]
@@ -115,7 +121,6 @@ final class WorkerRuntime(
     case ControlMsg.InstallVersion(v, update, done) =>
       if (!multiVersion) { multiVersion = true; versions.put(version, logic) }
       versions.put(v, update(logic))
-      engine.log.update(id, v)
       done.ack(id, v)
 
     case ControlMsg.BumpVersion(_) | ControlMsg.StopSource =>
@@ -139,8 +144,7 @@ final class WorkerRuntime(
       else (logic, version)
     if (use.costNanos > 0) spin(use.costNanos)
     val outputs = use.process(t)
-    engine.log.data(t.txnId, id, verUsed)
-    engine.replayRecorder.foreach(_.recordProcess(id, t, outputs))
+    if (logQ != null) logQ.add(ScheduleLog.Process(t, verUsed, outputs))
     outputs.foreach { case (values, port) =>
       outPorts(port).send(DTuple(t.txnId, t.ver, values))
     }
@@ -197,8 +201,7 @@ final class WorkerRuntime(
         ctx.updates.get(id.op).foreach { update =>
           logic = update(logic)
           version += 1
-          engine.log.update(id, version)
-          engine.replayRecorder.foreach(_.recordApply(id, update))
+          if (logQ != null) logQ.add(ScheduleLog.Apply(update))
           ctx.done.ack(id, version)
         }
       case MarkerKind.Checkpoint =>

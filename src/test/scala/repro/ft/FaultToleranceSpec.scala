@@ -1,5 +1,6 @@
 package repro.ft
 
+import java.util.concurrent.CountDownLatch
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dataflow._
 import repro.sched.FriesScheduler
@@ -133,47 +134,51 @@ class FaultToleranceSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------------- logging-based (replay)
-  test("recorded worker executions replay deterministically, including the FCM point") {
-    val recorder = new ReplayRecorder
-    val rows = TestData.payments(800)
-    val df = FigOne.dataflow(rows, prm.copy(loop = false))
-    val engine = new Engine(df, recorder = Some(recorder))
+  /** Figure 1 over `n` rows, reconfigured by Fries once the first `k` rows
+    * reached the sink and before the source gate releases the rest, so FM and
+    * MC process data both before and after their update.
+    */
+  private def runFigOneUpdatedAfter(n: Int, k: Int): (Dataflow, Engine) = {
+    val gate = new CountDownLatch(1)
+    val rows = TestData.payments(n)
+    val fig = FigOne.dataflow(rows, prm.copy(loop = false))
+    val df = fig.copy(sources = fig.sources.map(_.copy(rows = () => TestData.gated(rows, k, gate))))
+    val engine = new Engine(df)
     engine.start()
-    Thread.sleep(60)
-    new FriesScheduler().execute(engine, FigOne.reconfiguration(prm), 30_000)
-    engine.awaitCompletion(60_000)
+    try {
+      TestData.awaitCollected(engine, "SINK", k)
+      new FriesScheduler().execute(engine, FigOne.reconfiguration(prm), 30_000)
+      gate.countDown()
+      engine.awaitCompletion(60_000)
+      (df, engine)
+    } finally engine.shutdownNow()
+  }
 
+  test("recorded worker executions replay deterministically, including the FCM point") {
+    val (df, engine) = runFigOneUpdatedAfter(n = 300, k = 100)
     for (op <- Seq("FC", "FM", "MC"); w = WorkerId(op, 0)) {
-      val events = recorder.eventsOf(w)
+      val events = engine.log.eventsOf(w)
       assert(events.nonEmpty, s"no events recorded for $w")
-      val operator = df.opByName(op)
-      assert(Replay.reproduces(operator, 0, events), s"$w replay diverged")
+      assert(Replay.reproduces(df.opByName(op), 0, events), s"$w replay diverged")
     }
-    // FM and MC must have an Apply event in their logs (the reconfiguration).
+    // FM and MC log exactly one Apply (the reconfiguration), after the 100
+    // rows released before it and before the 200 released after it.
     Seq("FM", "MC").foreach { op =>
-      val applies = recorder.eventsOf(WorkerId(op, 0)).count(_.isInstanceOf[ReplayEvent.Apply])
-      assert(applies == 1, s"$op recorded $applies applies")
+      val events = engine.log.eventsOf(WorkerId(op, 0))
+      val applies = events.indices.filter(i => events(i).isInstanceOf[ScheduleLog.Apply])
+      assert(applies == Seq(100) && events.size == 301, s"$op: applies at $applies of ${events.size} events")
     }
   }
 
   test("replay reproduces the final state and version") {
-    val recorder = new ReplayRecorder
-    val rows = TestData.payments(500)
-    val df = FigOne.dataflow(rows, prm.copy(loop = false))
-    val engine = new Engine(df, recorder = Some(recorder))
-    engine.start()
-    Thread.sleep(50)
-    new FriesScheduler().execute(engine, FigOne.reconfiguration(prm), 30_000)
-    engine.awaitCompletion(60_000)
-
+    val (df, engine) = runFigOneUpdatedAfter(n = 200, k = 50)
     val w = WorkerId("FM", 0)
-    val result = Replay.replayWorker(df.opByName("FM"), 0, recorder.eventsOf(w))
-    assert(result.finalVersion == engine.workers(w).currentVersion)
+    val result = Replay.replayWorker(df.opByName("FM"), 0, engine.log.eventsOf(w))
+    assert(result.finalVersion == 1 && result.finalVersion == engine.workers(w).currentVersion)
     assert(result.finalState == engine.logicOf(w).state)
   }
 
   test("replay of a cost-free worker with no reconfiguration is trivially faithful") {
-    val recorder = new ReplayRecorder
     val rows = TestData.simpleRows(200)
     val df = Dataflow(
       sources = Vector(SourceSpec("SRC", () => rows.iterator)),
@@ -181,9 +186,9 @@ class FaultToleranceSpec extends AnyFunSuite {
         Operator("A", 1, _ => new Pass),
         Operator("SINK", 1, _ => new CollectLogic)),
       edges = Vector(EdgeSpec("SRC", "A"), EdgeSpec("A", "SINK")))
-    val engine = new Engine(df, recorder = Some(recorder))
+    val engine = new Engine(df)
     engine.start()
     engine.awaitCompletion(30_000)
-    assert(Replay.reproduces(df.opByName("A"), 0, recorder.eventsOf(WorkerId("A", 0))))
+    assert(Replay.reproduces(df.opByName("A"), 0, engine.log.eventsOf(WorkerId("A", 0))))
   }
 }

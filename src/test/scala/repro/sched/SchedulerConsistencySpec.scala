@@ -3,7 +3,7 @@ package repro.sched
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dataflow._
 import repro.testutil.TestData
-import repro.txn.VersionAudit
+import repro.txn.{Serializability, VersionAudit}
 import repro.workflows.{FigOne, Fig6, W4, W5}
 
 /** End-to-end consistency (Section 4.2): run real reconfigurations on the
@@ -35,6 +35,22 @@ class SchedulerConsistencySpec extends AnyFunSuite {
   private def audit(engine: Engine, ops: Set[String]) =
     VersionAudit.check(engine.log.dataRecords, ops)
 
+  /** The abstract checker over the engine's schedule: each worker's log as
+    * `Serializability` events, concatenated worker by worker. Conflicts are
+    * only between operations on one worker, so per-worker order suffices.
+    */
+  private def serializabilityViolations(engine: Engine): Set[String] =
+    Serializability.violations(engine.workers.keys.toVector.flatMap { w =>
+      engine.log.eventsOf(w).map {
+        case ScheduleLog.Process(t, _, _) => Serializability.DataOp(t.txnId.toString, w.toString)
+        case ScheduleLog.Apply(_) => Serializability.UpdateOp(w.toString)
+      }
+    })
+
+  /** Both consistency checkers must report the same transactions. */
+  private def assertCheckersAgree(engine: Engine, violations: Seq[VersionAudit.Violation]): Unit =
+    assert(serializabilityViolations(engine) == violations.map(_.txn.toString).toSet)
+
   private val figPrm = FigOne.Params(fmCostNanos = 300_000L, loop = true, cap = 64)
   private def figFlow = FigOne.dataflow(TestData.payments(2000), figPrm)
 
@@ -45,6 +61,7 @@ class SchedulerConsistencySpec extends AnyFunSuite {
       new NaiveFcmScheduler(Map("FM" -> 400L)))
     val violations = audit(engine, Set("FM", "MC"))
     assert(violations.nonEmpty, "expected non-conflict-serializable schedule")
+    assertCheckersAgree(engine, violations)
     // The observable side effect: MC missing the score_m10 column.
     assert(engine.collected("SINK").exists(_.values("mc_error") == true))
   }
@@ -52,7 +69,9 @@ class SchedulerConsistencySpec extends AnyFunSuite {
   test("Fries scheduler keeps Figure 1 conflict-serializable") {
     val (engine, outcome) = runWithReconfig(figFlow, FigOne.reconfiguration(figPrm),
       new FriesScheduler())
-    assert(audit(engine, Set("FM", "MC")).isEmpty)
+    val violations = audit(engine, Set("FM", "MC"))
+    assert(violations.isEmpty)
+    assertCheckersAgree(engine, violations)
     assert(!engine.collected("SINK").exists(_.values("mc_error") == true))
     // The MCS is the chain FM -> MC, headed by FM.
     assert(outcome.plans.flatMap(_.components).map(_.ops) == Vector(Set("FM", "MC")))
